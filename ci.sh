@@ -15,7 +15,8 @@
 #                type-checks; this links them)
 #   tests        go test -race ./...
 #   race matrix  go test -count=1 -race on the parallel-executor
-#                packages at GOMAXPROCS=2 and 4 (scheduling diversity
+#                packages (and dbmachine, which drives the staged
+#                router) at GOMAXPROCS=2 and 4 (scheduling diversity
 #                beyond the default run)
 #   crash matrix the deterministic fault-injection recovery suite
 #                (internal/fault) at GOMAXPROCS=2 and 4 under two
@@ -167,7 +168,8 @@ else
     for gmp in 2 4; do
         echo "   GOMAXPROCS=$gmp"
         GOMAXPROCS=$gmp go test -count=1 -race \
-            ./internal/operators/... ./internal/query/... ./internal/storage/...
+            ./internal/operators/... ./internal/query/... ./internal/storage/... \
+            ./internal/dbmachine/...
     done
 
     step "crash matrix (seeded fault schedules)"

@@ -25,8 +25,6 @@ type Strategy struct {
 	Name string
 	// Adaptive enables mid-query re-optimisation.
 	Adaptive bool
-	// PreferIndex lets a replan link in an index nested-loop join.
-	PreferIndex bool
 	// Theta is the misestimate trigger ratio.
 	Theta float64
 	// CheckEvery is the safe-point cadence.
@@ -38,8 +36,8 @@ var (
 	// CostStrategy is the docked optimiser: trust the statistics.
 	CostStrategy = Strategy{Name: "cost", Adaptive: false}
 	// ConservativeStrategy is the wireless optimiser: bound memory by
-	// replanning aggressively and preferring index paths.
-	ConservativeStrategy = Strategy{Name: "conservative", Adaptive: true, PreferIndex: true, Theta: 2, CheckEvery: 32}
+	// replanning aggressively.
+	ConservativeStrategy = Strategy{Name: "conservative", Adaptive: true, Theta: 2, CheckEvery: 32}
 )
 
 // Machine is a componentised query processor.
@@ -91,13 +89,12 @@ func New(bufferFrames int, log *trace.Log) (*Machine, error) {
 			}
 			strat := out.(Strategy)
 			if sel, ok := stmt.(*query.SelectStmt); ok && strat.Adaptive {
-				res, rep, err := eng.ExecSelectAdaptive(sel, query.AdaptiveConfig{
-					Theta: strat.Theta, CheckEvery: strat.CheckEvery, PreferIndex: strat.PreferIndex,
-				})
+				cfg := query.AdaptiveConfig{Theta: strat.Theta, CheckEvery: strat.CheckEvery}
+				res, rep, err := eng.ExecuteStmt(sel, query.ExecOptions{Workers: 1, Adaptive: &cfg})
 				if err != nil {
 					return nil, err
 				}
-				return execOutcome{res: res, rep: rep, strat: strat}, nil
+				return execOutcome{res: res, rep: &rep.Adaptive, strat: strat}, nil
 			}
 			res, err := eng.ExecStmt(stmt)
 			if err != nil {

@@ -344,11 +344,12 @@ func RunScenario3() (*Scenario3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := query.MustParse(sql).(*query.SelectStmt)
-	adaptiveRes, repRep, err := e.ExecSelectAdaptive(st, query.AdaptiveConfig{Theta: 3, CheckEvery: 32})
+	cfg := query.AdaptiveConfig{Theta: 3, CheckEvery: 32}
+	adaptiveRes, execRep, err := e.ExecuteSQL(sql, query.ExecOptions{Workers: 1, Adaptive: &cfg})
 	if err != nil {
 		return nil, err
 	}
+	repRep := execRep.Adaptive
 	return &Scenario3Result{
 		StaticRows:   len(static.Rows),
 		AdaptiveRows: len(adaptiveRes.Rows),

@@ -226,8 +226,9 @@ func (j *HashJoin) Close() error {
 }
 
 // IndexNLJoin probes a B-tree index for each outer tuple — the
-// operator Scenario 3's re-optimiser injects when it "adds an index
-// to one of the tables".
+// operator form of Scenario 3's "add an index to one of the tables"
+// revision. The SQL engine's staged router revises plans by swapping
+// build sides and re-routing joins; it does not link this operator in.
 type IndexNLJoin struct {
 	Outer    Iterator
 	OuterCol int

@@ -16,13 +16,12 @@
 // callers and the index-scan path keep working.
 //
 // The build phase honours the Scenario 3 safe-point protocol: an
-// optional callback observes the cumulative build cardinality at
-// batch granularity from every worker; when any worker's observation
-// trips the misestimate check, all workers finish their in-flight
-// batch and drain at the phase barrier, and the consumed prefix is
-// handed back so the re-optimiser can replan without losing work. The
-// prefix counts tuples, not batches, so replay granularity is
-// unchanged from the scalar executor.
+// optional callback observes the cumulative build cardinality from
+// every worker at a fixed tuple cadence (or per batch); when any
+// worker's observation trips the misestimate check, every worker
+// stops at its next safe point and drains at the phase barrier, and
+// the claimed prefix — absorbed rows plus unprocessed batch tails — is
+// handed back so the re-optimiser can replan without losing work.
 package operators
 
 import (
@@ -72,6 +71,12 @@ type ParallelConfig struct {
 	// cancels the statement with ErrMemBudget through the same
 	// cooperative path.
 	Budget *MemBudget
+	// SafePointEvery, when > 0, is a safe-pointed hash build's cadence:
+	// each worker consults the safe-point callback after every
+	// SafePointEvery tuples of its own progress, splitting batches
+	// (heap batches are whole pages) where needed. <= 0 checks once per
+	// batch.
+	SafePointEvery int
 }
 
 // WorkerCount resolves the effective worker count.
@@ -575,8 +580,24 @@ func (k joinK) hash() uint32 {
 // Partitioned parallel hash join.
 
 // ErrBuildAborted is returned by ParallelBuild when the safe-point
-// callback vetoed continuing; the consumed prefix accompanies it.
+// callback vetoed continuing; a *BuildAbort accompanies it.
 var ErrBuildAborted = errors.New("operators: parallel build aborted at safe point")
+
+// BuildAbort is what a build vetoed at a safe point hands back so the
+// caller can replan without losing work.
+type BuildAbort struct {
+	// Prefix is every tuple the build claimed from its source: the
+	// absorbed rows plus the unprocessed tails of the batches in flight
+	// when the workers stopped. Replaying it ahead of the source's
+	// remainder loses and repeats nothing.
+	Prefix []storage.Tuple
+	// TriggerRow is the cumulative build count at the safe point that
+	// failed (the smallest, when several workers failed at once).
+	TriggerRow int
+	// Hashed counts the rows the build absorbed before it stopped — the
+	// size the aborted table had reached.
+	Hashed int
+}
 
 // BuildTable is the immutable partitioned hash table produced by
 // ParallelBuild; once built it is probed lock-free by any number of
@@ -601,23 +622,32 @@ type partBuf struct {
 // partitioned hash table on col (scalar-source shim over
 // ParallelBuildBatches).
 func ParallelBuild(src MorselSource, col int, cfg ParallelConfig,
-	safePoint func(rows int) bool) (*BuildTable, []storage.Tuple, error) {
+	safePoint func(rows int) bool) (*BuildTable, *BuildAbort, error) {
 	return ParallelBuildBatches(Batches(src), col, cfg, safePoint)
 }
 
 // ParallelBuildBatches consumes src with cfg workers and assembles the
 // partitioned hash table on col. safePoint, when non-nil, is called
-// (possibly concurrently) after every batch with the cumulative
-// build row count; returning false aborts the build: every claimed
-// batch is still fully absorbed, workers drain at the barrier, and
-// (nil, consumedPrefix, ErrBuildAborted) is returned. The caller can
-// then replan and replay the prefix, resuming src for the remainder.
+// (possibly concurrently) with the cumulative build row count: after
+// every cfg.SafePointEvery tuples of each worker's own progress, or
+// after every batch when the cadence is unset. Returning false aborts
+// the build: every worker stops at its next safe point, and
+// (nil, abort, ErrBuildAborted) is returned once all have drained at
+// the barrier. The caller can then replan, replaying abort.Prefix and
+// resuming src for the remainder.
 func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
-	safePoint func(rows int) bool) (*BuildTable, []storage.Tuple, error) {
+	safePoint func(rows int) bool) (*BuildTable, *BuildAbort, error) {
 	w := cfg.WorkerCount()
+	every := cfg.SafePointEvery
+	if safePoint == nil {
+		every = 0
+	}
 	scatter := make([][]partBuf, w)     // [worker][partition]
 	nulls := make([][]storage.Tuple, w) // null keys never join but must replay
+	tails := make([][]storage.Tuple, w) // claimed, never absorbed
 	var consumed atomic.Int64
+	var trigger atomic.Int64 // smallest failing safe-point count
+	trigger.Store(math.MaxInt64)
 	var aborted atomic.Bool
 	var fail failFlag
 	var wg sync.WaitGroup
@@ -629,7 +659,8 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 			b := GetBatch()
 			defer PutBatch(b)
 			local := make([]partBuf, w)
-			rows := 0
+			rows, pending := 0, 0 // pending: absorbed since the last safe point
+		claim:
 			for !aborted.Load() && !fail.failed() {
 				if cfg.interrupted(&fail) {
 					break
@@ -645,23 +676,47 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 				if cfg.charge(&fail, b.Tuples) {
 					break
 				}
-				for _, t := range b.Tuples {
-					k, ok := joinKeyOf(t[col])
-					if !ok {
-						nulls[i] = append(nulls[i], t)
+				for j := 0; j < n; {
+					end := n
+					if every > 0 && end-j > every-pending {
+						end = j + every - pending
+					}
+					for _, t := range b.Tuples[j:end] {
+						k, ok := joinKeyOf(t[col])
+						if !ok {
+							nulls[i] = append(nulls[i], t)
+							continue
+						}
+						p := int(k.hash() % uint32(w))
+						local[p].keys = append(local[p].keys, k)
+						local[p].tups = append(local[p].tups, t)
+					}
+					rows += end - j
+					pending += end - j
+					j = end
+					if every > 0 && pending < every {
+						break // the batch ran out before the next safe point
+					}
+					total := consumed.Add(int64(pending))
+					pending = 0
+					if safePoint == nil {
 						continue
 					}
-					p := int(k.hash() % uint32(w))
-					local[p].keys = append(local[p].keys, k)
-					local[p].tups = append(local[p].tups, t)
-				}
-				rows += n
-				total := consumed.Add(int64(n))
-				if safePoint != nil && !safePoint(int(total)) {
-					aborted.Store(true)
-					break
+					stop := aborted.Load() // a peer's safe point already failed
+					if !stop && !safePoint(int(total)) {
+						for cur := trigger.Load(); total < cur && !trigger.CompareAndSwap(cur, total); {
+							cur = trigger.Load()
+						}
+						aborted.Store(true)
+						stop = true
+					}
+					if stop {
+						tails[i] = append(tails[i], b.Tuples[j:n]...)
+						break claim
+					}
 				}
 			}
+			consumed.Add(int64(pending))
 			scatter[i] = local
 			if cfg.OnWorker != nil {
 				cfg.OnWorker(i, "build", rows)
@@ -673,14 +728,15 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 		return nil, nil, err
 	}
 	if aborted.Load() {
-		var prefix []storage.Tuple
+		ab := &BuildAbort{TriggerRow: int(trigger.Load()), Hashed: int(consumed.Load())}
 		for i := 0; i < w; i++ {
 			for _, part := range scatter[i] {
-				prefix = append(prefix, part.tups...)
+				ab.Prefix = append(ab.Prefix, part.tups...)
 			}
-			prefix = append(prefix, nulls[i]...)
+			ab.Prefix = append(ab.Prefix, nulls[i]...)
+			ab.Prefix = append(ab.Prefix, tails[i]...)
 		}
-		return nil, prefix, ErrBuildAborted
+		return nil, ab, ErrBuildAborted
 	}
 	// Assemble each partition's hash table; partitions are disjoint so
 	// this fans out without locks.

@@ -152,7 +152,7 @@ func TestParallelBuildAbortReturnsExactPrefix(t *testing.T) {
 	}
 	src := NewSliceMorsels(build, 32)
 	cfg := ParallelConfig{Workers: 4, MorselSize: 32}
-	bt, prefix, err := ParallelBuild(src, 0, cfg, func(rows int) bool {
+	bt, ab, err := ParallelBuild(src, 0, cfg, func(rows int) bool {
 		return rows <= 200 // abort once more than 200 rows observed
 	})
 	if !errors.Is(err, ErrBuildAborted) {
@@ -161,6 +161,7 @@ func TestParallelBuildAbortReturnsExactPrefix(t *testing.T) {
 	if bt != nil {
 		t.Fatal("aborted build returned a table")
 	}
+	prefix := ab.Prefix
 	if len(prefix) <= 200 {
 		t.Fatalf("prefix %d rows, want > 200 (abort fires after the morsel that crossed)", len(prefix))
 	}
@@ -171,6 +172,46 @@ func TestParallelBuildAbortReturnsExactPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMultiset(t, append(append([]storage.Tuple{}, prefix...), rest...), build)
+}
+
+// TestParallelBuildSafePointCadence: with SafePointEvery set, the
+// safe point fires every SafePointEvery tuples of a worker's progress
+// even inside one large batch; the aborted build reports the count at
+// the failing safe point, absorbs no more than each worker's stride
+// past it, and replays the unprocessed batch tails with the prefix.
+func TestParallelBuildSafePointCadence(t *testing.T) {
+	var build []storage.Tuple
+	for i := 0; i < 5000; i++ {
+		build = append(build, intTuple(int64(i%50)))
+	}
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{1, 64, 1024} {
+			src := NewSliceBatches(build, batch)
+			cfg := ParallelConfig{Workers: workers, SafePointEvery: 32}
+			var checks atomic.Int64
+			_, ab, err := ParallelBuildBatches(src, 0, cfg, func(rows int) bool {
+				checks.Add(1)
+				return rows <= 30
+			})
+			if !errors.Is(err, ErrBuildAborted) {
+				t.Fatalf("w=%d batch=%d: err = %v, want ErrBuildAborted", workers, batch, err)
+			}
+			if ab.TriggerRow != 32 {
+				t.Fatalf("w=%d batch=%d: trigger row %d, want 32", workers, batch, ab.TriggerRow)
+			}
+			if ab.Hashed > 32*workers+32 || ab.Hashed < 32 {
+				t.Fatalf("w=%d batch=%d: hashed %d rows past the cadence", workers, batch, ab.Hashed)
+			}
+			if checks.Load() > int64(workers) {
+				t.Fatalf("w=%d batch=%d: %d safe points, want at most one per worker", workers, batch, checks.Load())
+			}
+			rest, err := DrainParallelBatches(src, ParallelConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMultiset(t, append(append([]storage.Tuple{}, ab.Prefix...), rest...), build)
+		}
+	}
 }
 
 func TestChainMorselsReplaysPrefixThenRest(t *testing.T) {

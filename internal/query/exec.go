@@ -208,8 +208,7 @@ func (e *Engine) execSelect(st *SelectStmt, txn *storage.Txn) (*Result, error) {
 }
 
 // finishSelect applies aggregation/ordering/projection to the joined
-// stream and drains it. Split out so the adaptive executor can supply
-// its own join pipeline.
+// stream and drains it.
 func (e *Engine) finishSelect(plan *selectPlan, it operators.Iterator) (*Result, error) {
 	st := plan.stmt
 	sch := plan.sch

@@ -1,7 +1,7 @@
 // Golden tests for the plan rendering: the chosen join order, build
 // sides and per-scan/per-join estimates are pinned exactly, so any
 // planner change shows up as a reviewable diff, and the post-execution
-// adaptation summary appended by the adaptive executors is pinned too.
+// adaptation summary appended by the staged router is pinned too.
 package query
 
 import (
@@ -89,19 +89,19 @@ func TestExplainGoldenPushdownAndIndex(t *testing.T) {
 
 func TestExplainGoldenAdaptationSummary(t *testing.T) {
 	e := scenario3Engine(t)
-	st := MustParse(scenario3SQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 3, CheckEvery: 32})
+	res, rep, err := e.ExecuteSQL(scenario3SQL, ExecOptions{Workers: 1,
+		Adaptive: &AdaptiveConfig{Theta: 3, CheckEvery: 32}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Replanned {
-		t.Fatalf("report = %+v", rep)
+	if !rep.Adaptive.Replanned {
+		t.Fatalf("report = %+v", rep.Adaptive)
 	}
 	// est(big) = 10 (stale), est(small) = 100: greedy seeds big, the
 	// join estimate is 10·100/max(V(big.k)=10, V(small.k)=100) = 10.
 	// θ·est = 30 with CheckEvery 32 → violation at row 32, swap to
 	// small, and the summary records the executed order.
-	want := "SeqScan(big est=10) -> HashJoin(build=left est=10) -> SeqScan(small est=100)" +
+	want := "Parallel(workers=1) SeqScan(big est=10) -> HashJoin(build=left est=10) -> SeqScan(small est=100)" +
 		" | adapt: replans=1 trigger=32 build=big->small order=small,big"
 	if res.Plan != want {
 		t.Fatalf("plan =\n  %s\nwant\n  %s", res.Plan, want)
@@ -114,9 +114,9 @@ func TestExplainGoldenNoAdaptation(t *testing.T) {
 		t.Fatalf("describe = %q", got)
 	}
 	rep = &AdaptiveReport{Replanned: true, Replans: 2, TriggerRow: 64,
-		InitialBuild: "o", FinalBuild: "c", UsedIndex: true,
+		InitialBuild: "o", FinalBuild: "c",
 		ExecutedOrder: []string{"c", "o", "n"}}
-	want := "adapt: replans=2 trigger=64 build=o->c index-nl order=c,o,n"
+	want := "adapt: replans=2 trigger=64 build=o->c order=c,o,n"
 	if got := rep.Describe(); got != want {
 		t.Fatalf("describe = %q, want %q", got, want)
 	}

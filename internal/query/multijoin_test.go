@@ -294,10 +294,9 @@ func TestMultiJoinDeclaredOrderKnob(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMultiJoin drives the staged router through the serial
-// adaptive entry point: stale stats must produce at least one replan
-// and a complete executed order, and the answer must match the static
-// engine.
+// TestAdaptiveMultiJoin drives the staged router at one and four
+// workers: stale stats must produce at least one replan and a complete
+// executed order, and the answer must match the static engine.
 func TestAdaptiveMultiJoin(t *testing.T) {
 	e := NewEngine(NewCatalog(256), trace.New(), nil)
 	seedStar(t, e)
@@ -306,23 +305,25 @@ func TestAdaptiveMultiJoin(t *testing.T) {
 		Distinct: map[string]int{"id": 2, "c_id": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	st := MustParse(starSQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Replanned || rep.Replans < 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(rep.ExecutedOrder) != 4 {
-		t.Fatalf("executed order = %v", rep.ExecutedOrder)
-	}
-	if !strings.Contains(res.Plan, "adapt: replans=") {
-		t.Fatalf("plan missing adaptation summary: %s", res.Plan)
-	}
-	got := rowsMultiset(res)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("adaptive multi-join answer drifted")
+	for _, workers := range []int{1, 4} {
+		res, er, err := e.ExecuteSQL(starSQL, ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := er.Adaptive
+		if !rep.Replanned || rep.Replans < 1 {
+			t.Fatalf("workers=%d: report = %+v", workers, rep)
+		}
+		if len(rep.ExecutedOrder) != 4 {
+			t.Fatalf("workers=%d: executed order = %v", workers, rep.ExecutedOrder)
+		}
+		if !strings.Contains(res.Plan, "adapt: replans=") {
+			t.Fatalf("workers=%d: plan missing adaptation summary: %s", workers, res.Plan)
+		}
+		got := rowsMultiset(res)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: adaptive multi-join answer drifted", workers)
+		}
 	}
 }
 

@@ -12,18 +12,12 @@ import (
 
 // This file wires the morsel-driven exchange layer (operators
 // package) into the SQL engine: ExecuteSQL runs SPJ + aggregation
-// plans across a configurable worker pool while preserving the
-// Scenario 3 safe-point protocol. The data plane is the vectorized
-// batch path: heap scans decode whole pages into pooled batches,
-// filters compact in place inside the scanning worker, and joins
-// build/probe on struct keys. The parallel build observes the
-// cumulative cardinality from every worker; when any worker's
-// observation trips the misestimate check, all workers drain at the
-// phase barrier and the plan is revised exactly as in the serial
-// adaptive executor — the consumed build prefix replays as probe
-// input of the side-swapped join, so no tuple is lost or duplicated.
-// Safe points are checked at batch granularity, but the replayed
-// prefix counts tuples, so replay is exact regardless of batch size.
+// plans across a configurable worker pool. The data plane is the
+// vectorized batch path: heap scans decode whole pages into pooled
+// batches, filters compact in place inside the scanning worker, and
+// joins build/probe on struct keys. Every hash-join plan runs through
+// the staged router (routing.go), which carries the Scenario 3
+// safe-point protocol.
 
 // ExecOptions tunes ExecuteSQL.
 type ExecOptions struct {
@@ -34,9 +28,6 @@ type ExecOptions struct {
 	// page-granular anyway). Results are identical at any batch size —
 	// only the amortisation changes.
 	BatchSize int
-	// MorselSize is the legacy name for BatchSize and is used when
-	// BatchSize is zero.
-	MorselSize int
 	// Adaptive tunes mid-query re-optimisation; nil means
 	// DefaultAdaptiveConfig() — the safe-point protocol is always on.
 	Adaptive *AdaptiveConfig
@@ -73,7 +64,7 @@ type ExecOptions struct {
 // ExecReport describes how ExecuteSQL ran.
 type ExecReport struct {
 	// Parallel is false when the statement took the serial path
-	// (non-SELECT, or an unsupported shape such as multi-join).
+	// (non-SELECT, a cartesian join, or a contained worker panic).
 	Parallel bool
 	// Workers is the effective worker count of a parallel run.
 	Workers int
@@ -91,7 +82,7 @@ type ExecReport struct {
 }
 
 // ExecuteSQL parses and executes one statement with the parallel
-// executor. SELECTs over zero or one join run across workers;
+// executor. SELECTs without cartesian joins run across workers;
 // everything else falls back to the serial engine (Report.Parallel
 // reports which happened). Result row order is nondeterministic
 // unless the statement has an ORDER BY.
@@ -119,15 +110,6 @@ func (o ExecOptions) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// batchSize resolves the effective batch granularity (0 = operator
-// default).
-func (o ExecOptions) batchSize() int {
-	if o.BatchSize > 0 {
-		return o.BatchSize
-	}
-	return o.MorselSize
 }
 
 func (o ExecOptions) adaptive() AdaptiveConfig {
@@ -230,23 +212,59 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 	}
 	rep.scans = plan.scans
 	workers := opts.workers()
-	batch := opts.batchSize()
 	rep.Parallel = true
 	rep.Workers = workers
 	plan.explainTx = fmt.Sprintf("Parallel(workers=%d) ", workers) + plan.explainTx
 
-	if len(plan.steps) > 1 {
-		// Multi-join: the staged router executes the pipeline one hash
-		// join at a time, re-routing at safe points on cardinality
-		// feedback.
+	if len(plan.steps) > 0 {
+		// Hash joins: the staged router executes the pipeline one join
+		// at a time, re-routing at safe points on cardinality feedback.
 		res, err := e.execStagedJoins(plan, opts, rep)
 		return res, rep, err
 	}
 
-	span := e.log.Span("query.parallel")
-	cfg := operators.ParallelConfig{
-		Workers:    workers,
-		MorselSize: batch,
+	cfg := e.parallelConfig(opts, e.log.Span("query.parallel"))
+	src, err := scanBatches(plan.scans[0], opts.BatchSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	if st.OrderBy != nil && !hasAggregate(st) && st.GroupBy == nil {
+		// Bare ordered scan: runs (or Top-K heaps) form inside the
+		// scan workers themselves — pages are claimed, keys extracted
+		// and partial orders built without an intermediate unordered
+		// materialisation.
+		idx, err := plan.sch.resolve(*st.OrderBy)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows, err := orderSourceParallel(src, idx, st.Desc, st.Limit, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := e.finishProjectTail(plan, rows)
+		return res, rep, err
+	}
+	scanCfg := cfg
+	if st.OrderBy == nil && !hasAggregate(st) && st.GroupBy == nil && st.Limit > 0 {
+		// Unordered LIMIT: any prefix is valid, so a satisfied quota
+		// stops the workers claiming pages (early termination).
+		scanCfg.Limit = st.Limit
+	}
+	rows, err := operators.DrainParallelBatches(src, scanCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := e.finishSelectParallel(plan, rows, cfg)
+	return res, rep, err
+}
+
+// parallelConfig is the exchange-layer configuration every parallel
+// phase of one statement shares: worker count, batch size,
+// cancellation, memory budget, and per-worker phase events on span.
+func (e *Engine) parallelConfig(opts ExecOptions, span *trace.Span) operators.ParallelConfig {
+	return operators.ParallelConfig{
+		Workers:    opts.workers(),
+		MorselSize: opts.BatchSize,
 		Cancel:     opts.Cancel,
 		Budget:     opts.MemBudget,
 		OnWorker: func(w int, phase string, rows int) {
@@ -257,202 +275,29 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 				"%s phase done: %d rows", phase, rows)
 		},
 	}
-
-	if len(plan.steps) == 0 {
-		src, err := scanBatches(plan.scans[0], batch)
-		if err != nil {
-			return nil, nil, err
-		}
-		if st.OrderBy != nil && !hasAggregate(st) && st.GroupBy == nil {
-			// Bare ordered scan: runs (or Top-K heaps) form inside the
-			// scan workers themselves — pages are claimed, keys extracted
-			// and partial orders built without an intermediate unordered
-			// materialisation.
-			idx, err := plan.sch.resolve(*st.OrderBy)
-			if err != nil {
-				return nil, nil, err
-			}
-			rows, err := orderSourceParallel(src, idx, st.Desc, st.Limit, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			res, err := e.finishProjectTail(plan, rows)
-			return res, rep, err
-		}
-		scanCfg := cfg
-		if st.OrderBy == nil && !hasAggregate(st) && st.GroupBy == nil && st.Limit > 0 {
-			// Unordered LIMIT: any prefix is valid, so a satisfied quota
-			// stops the workers claiming pages (early termination).
-			scanCfg.Limit = st.Limit
-		}
-		rows, err := operators.DrainParallelBatches(src, scanCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := e.finishSelectParallel(plan, rows, cfg)
-		return res, rep, err
-	}
-
-	// Single join: partitioned parallel hash join under the safe-point
-	// protocol.
-	acfg := opts.adaptive()
-	sides, err := plan.singleJoinSides()
-	if err != nil {
-		return nil, nil, err
-	}
-	leftW, rightW := len(plan.scans[0].sch), len(plan.scans[1].sch)
-	rep.Adaptive.InitialBuild = sides.build.ref.Binding()
-	rep.Adaptive.FinalBuild = sides.build.ref.Binding()
-	rep.Adaptive.EstimatedBuildRows = sides.build.estRows
-
-	// Build-side batches are capped at the safe-point cadence so every
-	// worker re-checks the misestimate bound at least every CheckEvery
-	// rows of its own progress.
-	buildBatch := acfg.CheckEvery
-	if batch > 0 && batch < buildBatch {
-		buildBatch = batch
-	}
-	buildSrc, err := scanBatches(sides.build, buildBatch)
-	if err != nil {
-		return nil, nil, err
-	}
-	limit := acfg.Theta * sides.build.estRows
-	safePoint := func(rows int) bool {
-		span.Emit(e.clock(), trace.KindSafePoint,
-			"build safe point at %d rows (est %.0f)", rows, sides.build.estRows)
-		return float64(rows) <= limit
-	}
-	if acfg.Disabled {
-		safePoint = nil
-	}
-	buildCfg := cfg
-	buildCfg.MorselSize = buildBatch
-
-	bt, prefix, err := operators.ParallelBuildBatches(buildSrc, sides.buildCol, buildCfg, safePoint)
-	switch {
-	case err == nil:
-		// Statistics held: probe straight through.
-		probeSrc, err := scanBatches(sides.probe, batch)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Adaptive.PeakHashRows = bt.Rows()
-		rep.Adaptive.ExecutedOrder = []string{sides.build.ref.Binding(), sides.probe.ref.Binding()}
-		if cols, names, ok := joinFastCols(st, plan, sides.buildIsLeft); ok {
-			out, err := bt.ParallelProbeProject(probeSrc, sides.probeCol, probeLimitCfg(st, cfg), cols, buildWidth(sides.buildIsLeft, leftW, rightW))
-			if err != nil {
-				return nil, nil, err
-			}
-			return e.limitResult(plan, names, out), rep, nil
-		}
-		joined, err := bt.ParallelProbeBatches(probeSrc, sides.probeCol, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows := permuteToDecl(permuteRows(joined, sides.buildIsLeft, leftW, rightW), plan.outPerm)
-		res, err := e.finishSelectParallel(plan, rows, cfg)
-		return res, rep, err
-
-	case errors.Is(err, operators.ErrBuildAborted):
-		// Violation: every worker has drained at the barrier; revise the
-		// plan by swapping sides. The consumed prefix plus the untouched
-		// remainder of the build source become the probe stream.
-		rep.Adaptive.Replanned = true
-		rep.Adaptive.Replans = 1
-		rep.Adaptive.TriggerRow = len(prefix)
-		span.Emit(e.clock(), trace.KindViolation,
-			"cardinality misestimate: %s build hit %d rows vs est %.0f (θ=%.1f); workers drained at barrier",
-			sides.build.ref.Binding(), len(prefix), sides.build.estRows, acfg.Theta)
-		newBuild := sides.probe
-		rep.Adaptive.FinalBuild = newBuild.ref.Binding()
-		span.Emit(e.clock(), trace.KindReoptimize,
-			"swapped join build side %s -> %s at row %d",
-			rep.Adaptive.InitialBuild, rep.Adaptive.FinalBuild, len(prefix))
-		newSrc, err := scanBatches(newBuild, batch)
-		if err != nil {
-			return nil, nil, err
-		}
-		nbt, _, err := operators.ParallelBuildBatches(newSrc, sides.probeCol, cfg, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		replay := operators.NewChainBatches(
-			operators.NewSliceBatches(prefix, buildBatch), buildSrc)
-		rep.Adaptive.PeakHashRows = maxInt(len(prefix), nbt.Rows())
-		rep.Adaptive.ExecutedOrder = []string{newBuild.ref.Binding(), sides.build.ref.Binding()}
-		// Output tuples are (newBuild, oldBuild) = (probe, build): the
-		// flip of the original orientation.
-		if cols, names, ok := joinFastCols(st, plan, !sides.buildIsLeft); ok {
-			out, err := nbt.ParallelProbeProject(replay, sides.buildCol, probeLimitCfg(st, cfg), cols, buildWidth(!sides.buildIsLeft, leftW, rightW))
-			if err != nil {
-				return nil, nil, err
-			}
-			return e.limitResult(plan, names, out), rep, nil
-		}
-		joined, err := nbt.ParallelProbeBatches(replay, sides.buildCol, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows := permuteToDecl(permuteRows(joined, !sides.buildIsLeft, leftW, rightW), plan.outPerm)
-		res, err := e.finishSelectParallel(plan, rows, cfg)
-		return res, rep, err
-
-	default:
-		return nil, nil, err
-	}
 }
 
 // joinFastCols decides whether a join statement can take the fused
 // probe-projection path (no aggregate, no GROUP BY, no ORDER BY) and,
-// when it can, remaps the projection from declaration order through
-// the plan's join order to the probe-output layout (build columns,
-// then probe). Resolution errors fall back to the slow path, which
-// reports them identically.
-func joinFastCols(st *SelectStmt, plan *selectPlan, buildLeft bool) ([]int, []string, bool) {
-	if st.GroupBy != nil || st.OrderBy != nil {
+// when it can, remaps the projection from declaration order to the
+// final join's output layout (scan indices in column order: build
+// side, then probe). Resolution errors fall back to the slow path,
+// which reports them identically.
+func joinFastCols(plan *selectPlan, layout []int) ([]int, []string, bool) {
+	st := plan.stmt
+	if st.GroupBy != nil || st.OrderBy != nil || hasAggregate(st) {
 		return nil, nil, false
-	}
-	for _, item := range st.Items {
-		if item.Agg != AggNone {
-			return nil, nil, false
-		}
 	}
 	cols, names, err := projectionCols(st, plan.sch)
 	if err != nil {
 		return nil, nil, false
 	}
-	if plan.outPerm != nil {
-		// projectionCols resolved declaration-order positions; the probe
-		// output is laid out in join order.
-		remapped := make([]int, len(cols))
+	if perm := permForLayout(plan, layout); perm != nil {
 		for i, c := range cols {
-			remapped[i] = plan.outPerm[c]
+			cols[i] = perm[c]
 		}
-		cols = remapped
-	}
-	leftW, rightW := len(plan.scans[0].sch), len(plan.scans[1].sch)
-	if !buildLeft {
-		// Build side is the right table: left columns live after the
-		// rightW build columns, right columns at the front.
-		remapped := make([]int, len(cols))
-		for i, c := range cols {
-			if c < leftW {
-				remapped[i] = rightW + c
-			} else {
-				remapped[i] = c - leftW
-			}
-		}
-		cols = remapped
 	}
 	return cols, names, true
-}
-
-// buildWidth is the tuple width of the join's build side.
-func buildWidth(buildLeft bool, leftW, rightW int) int {
-	if buildLeft {
-		return leftW
-	}
-	return rightW
 }
 
 // limitResult applies the statement's LIMIT (order is already
@@ -462,24 +307,6 @@ func (e *Engine) limitResult(plan *selectPlan, names []string, rows []storage.Tu
 		rows = rows[:st.Limit]
 	}
 	return &Result{Cols: names, Rows: rows, Plan: plan.Explain()}
-}
-
-// permuteRows restores declaration order (left, right) for join output
-// whose build side was `buildLeft`; build columns come first in each
-// joined tuple. The rotation is done in place through one shared
-// scratch buffer — probe output rows are arena-carved by this
-// executor, never aliased by anyone else, so mutating them is safe.
-func permuteRows(rows []storage.Tuple, buildLeft bool, leftW, rightW int) []storage.Tuple {
-	if buildLeft {
-		return rows
-	}
-	scratch := make(storage.Tuple, 0, rightW)
-	for _, t := range rows {
-		scratch = append(scratch[:0], t[:rightW]...)
-		copy(t, t[rightW:])
-		copy(t[leftW:], scratch)
-	}
-	return rows
 }
 
 // hasAggregate reports whether any select item aggregates.

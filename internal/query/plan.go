@@ -584,8 +584,7 @@ func attachEst(curEst, candEst float64, cand int, scans []*scanPlan,
 
 // joinIndexAvailable reports whether cand has a B-tree index on one of
 // the join columns linking it to the prefix — a mild greedy preference
-// (the index is an index-NL escape hatch for the runtime adapter and a
-// sign the column is a key).
+// (the index is a sign the column is a key).
 func joinIndexAvailable(cand int, scans []*scanPlan, edges []joinEdge,
 	adj [][]int, inPrefix []bool) bool {
 	for _, ei := range adj[cand] {

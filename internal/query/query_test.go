@@ -3,12 +3,10 @@ package query
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"github.com/adm-project/adm/internal/storage"
 	"github.com/adm-project/adm/internal/trace"
 )
 
@@ -347,101 +345,99 @@ func scenario3Engine(t *testing.T) *Engine {
 const scenario3SQL = "SELECT big.k, small.v FROM big JOIN small ON big.k = small.k"
 
 func TestAdaptiveExecDetectsMisestimateAndSwaps(t *testing.T) {
-	e := scenario3Engine(t)
-	st := MustParse(scenario3SQL).(*SelectStmt)
+	for _, workers := range []int{1, 4} {
+		e := scenario3Engine(t)
 
-	// Static plan builds on `big` (est 10 rows < 100).
-	static := e.MustExec(scenario3SQL)
-	if !strings.Contains(static.Plan, "HashJoin(build=left") {
-		t.Fatalf("static plan = %s", static.Plan)
-	}
+		// Static plan builds on `big` (est 10 rows < 100).
+		static := e.MustExec(scenario3SQL)
+		if !strings.Contains(static.Plan, "HashJoin(build=left") {
+			t.Fatalf("static plan = %s", static.Plan)
+		}
 
-	res, rep, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 3, CheckEvery: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Replanned {
-		t.Fatalf("report = %+v", rep)
-	}
-	if rep.InitialBuild != "big" || rep.FinalBuild != "small" {
-		t.Fatalf("builds: %s -> %s", rep.InitialBuild, rep.FinalBuild)
-	}
-	if rep.TriggerRow > 64 { // θ·est = 30, CheckEvery 32 → trigger at 32
-		t.Fatalf("trigger row = %d, want early detection", rep.TriggerRow)
-	}
-	// Results identical to the static plan.
-	if len(res.Rows) != len(static.Rows) {
-		t.Fatalf("adaptive %d rows vs static %d", len(res.Rows), len(static.Rows))
-	}
-	key := func(r storage.Tuple) string { return r[0].String() + "|" + r[1].String() }
-	a, b := make([]string, 0), make([]string, 0)
-	for _, r := range res.Rows {
-		a = append(a, key(r))
-	}
-	for _, r := range static.Rows {
-		b = append(b, key(r))
-	}
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row mismatch at %d: %s vs %s", i, a[i], b[i])
+		res, er, err := e.ExecuteSQL(scenario3SQL, ExecOptions{Workers: workers,
+			Adaptive: &AdaptiveConfig{Theta: 3, CheckEvery: 32}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := er.Adaptive
+		if !rep.Replanned {
+			t.Fatalf("workers=%d: report = %+v", workers, rep)
+		}
+		if rep.InitialBuild != "big" || rep.FinalBuild != "small" {
+			t.Fatalf("workers=%d: builds: %s -> %s", workers, rep.InitialBuild, rep.FinalBuild)
+		}
+		if rep.TriggerRow > 64 { // θ·est = 30, CheckEvery 32 → trigger at 32
+			t.Fatalf("workers=%d: trigger row = %d, want early detection", workers, rep.TriggerRow)
+		}
+		// Results identical to the static plan.
+		if fmt.Sprint(rowsMultiset(res)) != fmt.Sprint(rowsMultiset(static)) {
+			t.Fatalf("workers=%d: adaptive %d rows vs static %d", workers, len(res.Rows), len(static.Rows))
+		}
+		// Peak memory far below materialising all of big.
+		if rep.PeakHashRows >= 1000 {
+			t.Fatalf("workers=%d: peak hash rows = %d, adaptation saved nothing", workers, rep.PeakHashRows)
+		}
+		// Trace records the loop: safepoint → violation → reoptimize.
+		log := e.log
+		if log.Count(trace.KindViolation) == 0 || log.Count(trace.KindReoptimize) == 0 ||
+			log.Count(trace.KindSafePoint) == 0 {
+			t.Fatalf("workers=%d: trace = %s", workers, log.Summary())
 		}
 	}
-	// Peak memory far below materialising all of big.
-	if rep.PeakHashRows >= 1000 {
-		t.Fatalf("peak hash rows = %d, adaptation saved nothing", rep.PeakHashRows)
-	}
-	// Trace records the loop: safepoint → violation → reoptimize.
-	log := e.log
-	if log.Count(trace.KindViolation) == 0 || log.Count(trace.KindReoptimize) == 0 ||
-		log.Count(trace.KindSafePoint) == 0 {
-		t.Fatalf("trace = %s", log.Summary())
+}
+
+// TestAdaptiveSafePointCadence: the default cadence (a safe point
+// every 64 build rows) holds inside page-sized heap batches at every
+// worker count and batch size: the misestimate fires by row 64, the
+// aborted build stays small, and the answer is the serial one.
+func TestAdaptiveSafePointCadence(t *testing.T) {
+	e := scenario3Engine(t)
+	want := fmt.Sprint(rowsMultiset(e.MustExec(scenario3SQL)))
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{1, 64, 1024} {
+			res, rep, err := e.ExecuteSQL(scenario3SQL, ExecOptions{Workers: workers, BatchSize: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := rep.Adaptive
+			if !a.Replanned || a.TriggerRow > 64 || a.PeakHashRows >= 1000 {
+				t.Fatalf("workers=%d batch=%d: report = %+v", workers, batch, a)
+			}
+			if fmt.Sprint(rowsMultiset(res)) != want {
+				t.Fatalf("workers=%d batch=%d: answer drifted from the serial plan", workers, batch)
+			}
+		}
 	}
 }
 
 func TestAdaptiveExecNoViolationStaysPut(t *testing.T) {
 	e := scenario3Engine(t)
 	e.MustExec("ANALYZE big") // honest stats: no violation
-	st := MustParse(scenario3SQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Replanned {
-		t.Fatalf("replanned with honest stats: %+v", rep)
-	}
-	if len(res.Rows) != 2000 { // 2000 big rows × 1 small match each
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-}
-
-func TestAdaptiveExecIndexInjection(t *testing.T) {
-	e := scenario3Engine(t)
-	e.MustExec("CREATE INDEX ON small (k)")
-	st := MustParse(scenario3SQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 3, CheckEvery: 32, PreferIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Replanned || !rep.UsedIndex {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(res.Rows) != 2000 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	for _, workers := range []int{1, 4} {
+		res, rep, err := e.ExecuteSQL(scenario3SQL, ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Adaptive.Replanned {
+			t.Fatalf("workers=%d: replanned with honest stats: %+v", workers, rep.Adaptive)
+		}
+		if len(res.Rows) != 2000 { // 2000 big rows × 1 small match each
+			t.Fatalf("workers=%d: rows = %d", workers, len(res.Rows))
+		}
 	}
 }
 
 func TestAdaptiveExecFallsBackForNonJoins(t *testing.T) {
 	e := newEngine(t)
 	seedShop(t, e)
-	st := MustParse("SELECT id FROM users WHERE id < 5").(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, DefaultAdaptiveConfig())
-	if err != nil || rep.Replanned {
-		t.Fatalf("%v %+v", err, rep)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	for _, workers := range []int{1, 4} {
+		res, rep, err := e.ExecuteSQL("SELECT id FROM users WHERE id < 5", ExecOptions{Workers: workers})
+		if err != nil || rep.Adaptive.Replanned {
+			t.Fatalf("workers=%d: %v %+v", workers, err, rep)
+		}
+		if len(res.Rows) != 5 {
+			t.Fatalf("workers=%d: rows = %d", workers, len(res.Rows))
+		}
 	}
 }
 
@@ -466,23 +462,13 @@ func TestAdaptiveMatchesStaticProperty(t *testing.T) {
 		_ = e.cat.SetStats("big", TableStats{Rows: lie, Distinct: map[string]int{"k": 20}})
 		sql := "SELECT big.k, small.k FROM big JOIN small ON big.k = small.k"
 		static := e.MustExec(sql)
-		st := MustParse(sql).(*SelectStmt)
-		adaptive, _, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 2, CheckEvery: 8})
-		if err != nil {
-			return false
-		}
-		if len(static.Rows) != len(adaptive.Rows) {
-			return false
-		}
-		cnt := map[string]int{}
-		for _, r := range static.Rows {
-			cnt[r[0].String()+"|"+r[1].String()]++
-		}
-		for _, r := range adaptive.Rows {
-			cnt[r[0].String()+"|"+r[1].String()]--
-		}
-		for _, v := range cnt {
-			if v != 0 {
+		for _, workers := range []int{1, 4} {
+			adaptive, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: workers,
+				Adaptive: &AdaptiveConfig{Theta: 2, CheckEvery: 8}})
+			if err != nil {
+				return false
+			}
+			if fmt.Sprint(rowsMultiset(static)) != fmt.Sprint(rowsMultiset(adaptive)) {
 				return false
 			}
 		}

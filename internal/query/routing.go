@@ -3,18 +3,19 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/adm-project/adm/internal/operators"
 	"github.com/adm-project/adm/internal/storage"
 	"github.com/adm-project/adm/internal/trace"
 )
 
-// This file is the eddies-style staged router: the generalisation of
-// the single-join safe-point swap to multi-join pipelines. The plan's
-// join tree is not compiled into a fixed operator chain; instead the
-// router materialises one hash join at a time and, before each one,
-// re-decides which remaining scan to attach and which side builds,
-// using live cardinality feedback:
+// This file is the eddies-style staged router, the one executor of
+// Scenario 3's intra-query adaptation for every hash-join plan. The
+// plan's join tree is not compiled into a fixed operator chain;
+// instead the router materialises one hash join at a time and, before
+// each one, re-decides which remaining scan to attach and which side
+// builds, using live cardinality feedback:
 //
 //   - the joined prefix's cardinality is exact (it is materialised);
 //   - every base-scan estimate starts from the optimiser's guess and
@@ -24,45 +25,32 @@ import (
 //   - candidate ranking reuses the planner's attachEst, so the router
 //     and the greedy planner agree whenever the statistics were right.
 //
+// For a single join this is the paper's inner/outer swap: the build
+// of the (believed) smaller side stops at a safe point, the aborted
+// prefix replays ahead of that side's remainder, and the other side
+// builds instead.
+//
 // Determinism: a build abort drains every worker at the phase barrier
-// and hands back the consumed prefix, which is re-chained in front of
+// and hands back the claimed prefix, which is re-chained in front of
 // the untouched remainder of that scan's batch source — no tuple is
 // lost or read twice, whatever the worker count or batch size. Join
 // output is a set: routing order changes the column layout (undone by
-// one final permutation to declaration order) and the row order
-// (meaningless without ORDER BY, and ORDER BY has a total-order
-// tie-break), never the result multiset.
+// one final permutation to declaration order, or folded into the
+// fused probe projection) and the row order (meaningless without
+// ORDER BY, and ORDER BY has a total-order tie-break), never the
+// result multiset.
 
-// execStagedJoins executes a multi-join plan (all steps hash joins)
-// with continuous safe-point adaptation. rep.Adaptive is filled in;
-// the caller decides Parallel/Workers.
+// execStagedJoins executes a plan whose steps are all hash joins with
+// continuous safe-point adaptation. rep.Adaptive is filled in; the
+// caller decides Parallel/Workers. Each JOIN clause contributes one ON
+// edge, so a plan with no cartesian step has exactly n-1 edges
+// spanning its n scans: every edge is some join's hash condition and
+// none is left over as a residual filter (those arise only beside
+// cartesian steps, which the serial executor runs).
 func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecReport) (*Result, error) {
-	workers := opts.workers()
-	batch := opts.batchSize()
 	acfg := opts.adaptive()
 	span := e.log.Span("query.routing")
-	cfg := operators.ParallelConfig{
-		Workers:    workers,
-		MorselSize: batch,
-		Cancel:     opts.Cancel,
-		Budget:     opts.MemBudget,
-		OnWorker: func(w int, phase string, rows int) {
-			if opts.panicInWorker != nil {
-				opts.panicInWorker(w, phase)
-			}
-			span.Sub(fmt.Sprintf("w%d", w)).Emit(e.clock(), trace.KindInfo,
-				"%s phase done: %d rows", phase, rows)
-		},
-	}
-	// Build batches are capped at the safe-point cadence; every scan
-	// source uses that granularity so an aborted prefix re-chains onto
-	// its source exactly.
-	buildBatch := acfg.CheckEvery
-	if batch > 0 && batch < buildBatch {
-		buildBatch = batch
-	}
-	buildCfg := cfg
-	buildCfg.MorselSize = buildBatch
+	cfg := e.parallelConfig(opts, span)
 
 	n := len(plan.scans)
 	est := make([]float64, n) // live per-scan estimates, corrected on aborts
@@ -73,7 +61,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 	srcs := make([]operators.BatchSource, n)
 	src := func(i int) (operators.BatchSource, error) {
 		if srcs[i] == nil {
-			s, err := scanBatches(plan.scans[i], buildBatch)
+			s, err := scanBatches(plan.scans[i], opts.BatchSize)
 			if err != nil {
 				return nil, err
 			}
@@ -156,112 +144,104 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 			buildNext = !plan.steps[attached-1].buildLeft
 		}
 
-		var joined []storage.Tuple
-		if cur == nil {
+		// Orient the join. A base-scan build side (bScan >= 0) runs
+		// under safe points; the materialised prefix's cardinality is
+		// exact, so building on it needs none.
+		var (
+			bsrc, psrc  operators.BatchSource
+			bCol, prCol int
+			bScan       = -1
+			bLay, prLay []int // scans laid out in the build / probe side
+			err         error
+		)
+		switch {
+		case cur == nil:
 			// First join: both sides are base scans.
-			bScan, prScan, bCol, prCol := next, pScan, nextCol, pCol
-			if !buildNext {
-				bScan, prScan, bCol, prCol = pScan, next, pCol, nextCol
+			bScan, bCol, bLay, prLay, prCol = pScan, pCol, []int{pScan}, []int{next}, nextCol
+			if buildNext {
+				bScan, bCol, bLay, prLay, prCol = next, nextCol, []int{next}, []int{pScan}, pCol
 			}
 			if firstAttempt {
 				rep.Adaptive.InitialBuild = plan.scans[bScan].ref.Binding()
 				rep.Adaptive.EstimatedBuildRows = est[bScan]
 				firstAttempt = false
 			}
-			bsrc, err := src(bScan)
-			if err != nil {
+			if psrc, err = src(prLay[0]); err != nil {
 				return nil, err
 			}
-			bt, prefix, err := e.stagedBuild(plan, span, bsrc, bCol, bScan, est, buildCfg, acfg, rep)
-			if err != nil {
+		case buildNext:
+			bScan, bCol, bLay, prLay = next, nextCol, []int{next}, layout
+			psrc = operators.NewSliceBatches(cur, opts.BatchSize)
+			prCol = posIn(plan, layout, pScan, pCol)
+		default:
+			bsrc = operators.NewSliceBatches(cur, opts.BatchSize)
+			bCol, bLay, prLay = posIn(plan, layout, pScan, pCol), layout, []int{next}
+			if psrc, err = src(next); err != nil {
+				return nil, err
+			}
+			prCol = nextCol
+		}
+
+		var bt *operators.BuildTable
+		if bScan >= 0 {
+			if bsrc, err = src(bScan); err != nil {
+				return nil, err
+			}
+			var ab *operators.BuildAbort
+			if bt, ab, err = e.stagedBuild(plan, span, bsrc, bCol, bScan, est, cfg, acfg, rep); err != nil {
 				return nil, err
 			}
 			if bt == nil {
 				srcs[bScan] = operators.NewChainBatches(
-					operators.NewSliceBatches(prefix, buildBatch), srcs[bScan])
-				// Nothing is materialised yet, so even the seed can move:
-				// re-pick the cheapest scan under the corrected estimates.
-				// (The aborted prefix is chained back, so every scan is
-				// still fully replayable.)
-				for i := range est {
-					if est[i] < est[seed] {
-						chosen[seed] = false
-						seed = i
-						chosen[seed] = true
+					operators.NewSliceBatches(ab.Prefix, opts.BatchSize), srcs[bScan])
+				if cur == nil {
+					// Nothing is materialised yet, so even the seed can
+					// move: re-pick the cheapest scan under the corrected
+					// estimates. (The aborted prefix is chained back, so
+					// every scan is still fully replayable.)
+					for i := range est {
+						if est[i] < est[seed] {
+							chosen[seed] = false
+							seed = i
+							chosen[seed] = true
+						}
 					}
 				}
 				continue // re-route with the corrected estimate
 			}
-			psrc, err := src(prScan)
-			if err != nil {
-				return nil, err
-			}
-			joined, err = bt.ParallelProbeBatches(psrc, prCol, cfg)
-			if err != nil {
-				return nil, err
-			}
+		} else if bt, _, err = operators.ParallelBuildBatches(bsrc, bCol, cfg, nil); err != nil {
+			return nil, err
+		}
+		if bt.Rows() > rep.Adaptive.PeakHashRows {
+			rep.Adaptive.PeakHashRows = bt.Rows()
+		}
+		if cur == nil {
 			rep.Adaptive.FinalBuild = plan.scans[bScan].ref.Binding()
 			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder,
-				plan.scans[bScan].ref.Binding(), plan.scans[prScan].ref.Binding())
-			layout = []int{bScan, prScan}
-		} else if buildNext {
-			bsrc, err := src(next)
-			if err != nil {
-				return nil, err
-			}
-			bt, prefix, err := e.stagedBuild(plan, span, bsrc, nextCol, next, est, buildCfg, acfg, rep)
-			if err != nil {
-				return nil, err
-			}
-			if bt == nil {
-				srcs[next] = operators.NewChainBatches(
-					operators.NewSliceBatches(prefix, buildBatch), srcs[next])
-				continue
-			}
-			joined, err = bt.ParallelProbeBatches(
-				operators.NewSliceBatches(cur, buildBatch), posIn(plan, layout, pScan, pCol), cfg)
-			if err != nil {
-				return nil, err
-			}
-			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder, plan.scans[next].ref.Binding())
-			layout = append([]int{next}, layout...)
+				plan.scans[bScan].ref.Binding(), plan.scans[prLay[0]].ref.Binding())
 		} else {
-			// The materialised prefix builds: its cardinality is exact,
-			// so no safe point is needed.
-			bt, _, err := operators.ParallelBuildBatches(
-				operators.NewSliceBatches(cur, buildBatch), posIn(plan, layout, pScan, pCol), buildCfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			if bt.Rows() > rep.Adaptive.PeakHashRows {
-				rep.Adaptive.PeakHashRows = bt.Rows()
-			}
-			psrc, err := src(next)
-			if err != nil {
-				return nil, err
-			}
-			joined, err = bt.ParallelProbeBatches(psrc, nextCol, cfg)
-			if err != nil {
-				return nil, err
-			}
 			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder, plan.scans[next].ref.Binding())
-			// Output = (prefix, next): prefix built, probe streamed —
-			// ParallelProbeBatches emits (build, probe).
-			layout = append(layout, next)
 		}
+		// The probe emits (build, probe) tuples.
+		layout = append(append([]int(nil), bLay...), prLay...)
 		usedEdge[he] = true
 		chosen[next] = true
 		attached++
-		cur = joined
 
-		// Residual ON equalities now fully covered by the prefix.
-		for ei, red := range plan.edges {
-			if usedEdge[ei] || !chosen[red.a] || !chosen[red.b] {
-				continue
+		if attached == n {
+			if cols, names, ok := joinFastCols(plan, layout); ok {
+				// Final join of a plain projection: fuse the projection
+				// (and the LIMIT quota) into the probe.
+				out, err := bt.ParallelProbeProject(psrc, prCol, probeLimitCfg(plan.stmt, cfg),
+					cols, layoutWidth(plan, bLay))
+				if err != nil {
+					return nil, err
+				}
+				return e.limitResult(plan, names, out), nil
 			}
-			usedEdge[ei] = true
-			cur = filterEqInPlace(cur,
-				posIn(plan, layout, red.a, red.aCol), posIn(plan, layout, red.b, red.bCol))
+		}
+		if cur, err = bt.ParallelProbeBatches(psrc, prCol, cfg); err != nil {
+			return nil, err
 		}
 		if len(cur) == 0 {
 			break // inner joins only: an empty prefix ends the query
@@ -274,12 +254,13 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 
 // stagedBuild runs one safe-pointed hash build for scan b. On a
 // cardinality violation it corrects est[b], emits the violation /
-// re-route trace events and returns (nil, consumedPrefix, nil) — the
-// caller re-chains the prefix and re-routes. On success it returns the
-// build table.
+// re-route trace events and returns (nil, abort, nil) — the caller
+// re-chains the claimed prefix and re-routes. On success it returns
+// the build table.
 func (e *Engine) stagedBuild(plan *selectPlan, span *trace.Span, bsrc operators.BatchSource,
-	bCol, b int, est []float64, buildCfg operators.ParallelConfig, acfg AdaptiveConfig,
-	rep *ExecReport) (*operators.BuildTable, []storage.Tuple, error) {
+	bCol, b int, est []float64, cfg operators.ParallelConfig, acfg AdaptiveConfig,
+	rep *ExecReport) (*operators.BuildTable, *operators.BuildAbort, error) {
+	cfg.SafePointEvery = acfg.CheckEvery
 	var safePoint func(int) bool
 	if !acfg.Disabled {
 		limit := acfg.Theta * est[b]
@@ -289,37 +270,37 @@ func (e *Engine) stagedBuild(plan *selectPlan, span *trace.Span, bsrc operators.
 			return float64(rows) <= limit
 		}
 	}
-	bt, prefix, err := operators.ParallelBuildBatches(bsrc, bCol, buildCfg, safePoint)
-	switch {
-	case err == nil:
-		if bt.Rows() > rep.Adaptive.PeakHashRows {
-			rep.Adaptive.PeakHashRows = bt.Rows()
-		}
-		return bt, prefix, nil
-	case errors.Is(err, operators.ErrBuildAborted):
-		if !rep.Adaptive.Replanned {
-			rep.Adaptive.Replanned = true
-			rep.Adaptive.TriggerRow = len(prefix)
-		}
-		rep.Adaptive.Replans++
-		if len(prefix) > rep.Adaptive.PeakHashRows {
-			rep.Adaptive.PeakHashRows = len(prefix)
-		}
-		span.Emit(e.clock(), trace.KindViolation,
-			"cardinality misestimate: %s build hit %d rows vs est %.0f (θ=%.1f); workers drained at barrier",
-			plan.scans[b].ref.Binding(), len(prefix), est[b], acfg.Theta)
-		corrected := est[b] * acfg.Theta
-		if float64(len(prefix)) > corrected {
-			corrected = float64(len(prefix))
-		}
-		est[b] = corrected
-		span.Emit(e.clock(), trace.KindReoptimize,
-			"re-routing remaining joins: %s estimate corrected to %.0f",
-			plan.scans[b].ref.Binding(), est[b])
-		return nil, prefix, nil
-	default:
-		return nil, nil, err
+	bt, ab, err := operators.ParallelBuildBatches(bsrc, bCol, cfg, safePoint)
+	if !errors.Is(err, operators.ErrBuildAborted) {
+		return bt, nil, err
 	}
+	if !rep.Adaptive.Replanned {
+		rep.Adaptive.Replanned = true
+		rep.Adaptive.TriggerRow = ab.TriggerRow
+	}
+	rep.Adaptive.Replans++
+	if ab.Hashed > rep.Adaptive.PeakHashRows {
+		rep.Adaptive.PeakHashRows = ab.Hashed
+	}
+	span.Emit(e.clock(), trace.KindViolation,
+		"cardinality misestimate: %s build hit %d rows vs est %.0f (θ=%.1f); workers drained at barrier",
+		plan.scans[b].ref.Binding(), ab.TriggerRow, est[b], acfg.Theta)
+	// Every claimed row is a real row of the scan, so the whole prefix
+	// bounds its cardinality from below.
+	est[b] = math.Max(est[b]*acfg.Theta, float64(len(ab.Prefix)))
+	span.Emit(e.clock(), trace.KindReoptimize,
+		"re-routing remaining joins: %s estimate corrected to %.0f",
+		plan.scans[b].ref.Binding(), est[b])
+	return nil, ab, nil
+}
+
+// layoutWidth is the tuple width of the scans in lay.
+func layoutWidth(plan *selectPlan, lay []int) int {
+	w := 0
+	for _, si := range lay {
+		w += len(plan.scans[si].sch)
+	}
+	return w
 }
 
 // posIn locates scan-local column col of scan in the intermediate
@@ -365,18 +346,4 @@ func permForLayout(plan *selectPlan, layout []int) []int {
 		return nil
 	}
 	return perm
-}
-
-// filterEqInPlace compacts rows to those where columns a and b are
-// non-null and equal (the residual ON predicate semantics). The rows
-// are owned by this executor, so in-place compaction is safe.
-func filterEqInPlace(rows []storage.Tuple, a, b int) []storage.Tuple {
-	out := rows[:0]
-	for _, t := range rows {
-		av, bv := t[a], t[b]
-		if !av.IsNull() && !bv.IsNull() && storage.Equal(av, bv) {
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -246,25 +246,3 @@ func (s *DBSession) autocommit(st query.Stmt) (*query.Result, error) {
 	}
 	return res, nil
 }
-
-// ExecParallel is Exec through the morsel-driven parallel executor:
-// opts.Txn is overridden with the session's open transaction (nil in
-// autocommit — parallel SELECTs outside a transaction read the raw
-// heap exactly as before).
-func (s *DBSession) ExecParallel(sql string, opts query.ExecOptions) (*query.Result, *query.ExecReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, ErrSessionClosed
-	}
-	opts.Txn = s.txn
-	res, rep, err := s.eng.ExecuteSQL(sql, opts)
-	if s.txn != nil && errors.Is(err, storage.ErrWriteConflict) {
-		t := s.txn
-		s.txn = nil
-		if rbErr := t.Rollback(); rbErr != nil {
-			return res, rep, errors.Join(err, rbErr)
-		}
-	}
-	return res, rep, err
-}

@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,12 +177,12 @@ func TestDBSessionParallelExec(t *testing.T) {
 	if _, err := b.Exec("INSERT INTO kv VALUES (500, 'late')"); err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := a.ExecParallel("SELECT k FROM kv", query.ExecOptions{Workers: 4, BatchSize: 64})
+	res, err := a.ExecOpts("SELECT k FROM kv", query.ExecOptions{Workers: 4, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Parallel {
-		t.Fatal("parallel path not taken")
+	if !strings.HasPrefix(res.Plan, "Parallel(workers=4) ") {
+		t.Fatalf("parallel path not taken: %s", res.Plan)
 	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("txn parallel scan sees %d rows, want 5 (snapshot at BEGIN)", len(res.Rows))
@@ -189,7 +190,7 @@ func TestDBSessionParallelExec(t *testing.T) {
 	if _, err := a.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = a.ExecParallel("SELECT k FROM kv", query.ExecOptions{Workers: 4})
+	res, err = a.ExecOpts("SELECT k FROM kv", query.ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
