@@ -14,10 +14,16 @@
 #                cmd/* binary (a main package go build ./... only
 #                type-checks; this links them)
 #   tests        go test -race ./...
+#   benchmark    go vet and go test of servebench, the served-statement
+#   module       benchmark: it is its own module (replacing adm with
+#                ../), so go test ./... never builds it and an engine
+#                API change could break it silently
 #   race matrix  go test -count=1 -race on the parallel-executor
 #                packages (and dbmachine, which drives the staged
-#                router) at GOMAXPROCS=2 and 4 (scheduling diversity
-#                beyond the default run)
+#                router; and session, whose autocommit DML and
+#                conflict auto-rollback run over the same writes) at
+#                GOMAXPROCS=2 and 4 (scheduling diversity beyond the
+#                default run)
 #   crash matrix the deterministic fault-injection recovery suite
 #                (internal/fault) at GOMAXPROCS=2 and 4 under two
 #                ADM_FAULT_SEED schedules: crash at every WAL write
@@ -160,6 +166,10 @@ rm -rf "$bindir"
 step "go test -race"
 go test -race ./...
 
+step "servebench module (vet + test)"
+go -C servebench vet ./...
+go -C servebench test ./...
+
 if [ "${ADM_CI_QUICK:-0}" = "1" ]; then
     step "race matrix (skipped: ADM_CI_QUICK=1)"
     step "crash matrix (skipped: ADM_CI_QUICK=1)"
@@ -169,7 +179,7 @@ else
         echo "   GOMAXPROCS=$gmp"
         GOMAXPROCS=$gmp go test -count=1 -race \
             ./internal/operators/... ./internal/query/... ./internal/storage/... \
-            ./internal/dbmachine/...
+            ./internal/dbmachine/... ./internal/session/...
     done
 
     step "crash matrix (seeded fault schedules)"

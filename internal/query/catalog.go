@@ -282,185 +282,123 @@ func (c *Catalog) InsertTxn(table string, row storage.Tuple, txn *storage.Txn) (
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var rid storage.RID
-	if txn != nil {
+	switch {
+	case txn != nil:
 		rid, err = txn.Insert(t.Heap, row)
-	} else {
+	case c.db != nil:
+		// The legacy path on a durable heap stores the versioned image
+		// with the zero Version — visible to every snapshot, exactly
+		// like a plain record — so a later MVCC claim is a same-length
+		// in-place Xmax stamp. A plain record would have to grow by the
+		// version header at its first claim, which a full page cannot
+		// hold even after compaction. UpdateTxn keeps the form.
+		rid, err = t.Heap.InsertVersion(row, storage.Version{})
+	default:
 		rid, err = t.Heap.Insert(row)
 	}
 	if err != nil {
 		return storage.RID{}, err
 	}
-	for col, idx := range t.Indexes {
-		ci, _ := t.ColIndex(col)
-		idx.Insert(row[ci], rid)
-	}
+	t.moveEntries(nil, storage.RID{}, row, rid)
 	if txn != nil && len(t.Indexes) > 0 {
 		keys := row.Clone()
 		txn.OnRollback(func() error {
 			t.mu.RLock()
 			defer t.mu.RUnlock()
-			for col, idx := range t.Indexes {
-				ci, _ := t.ColIndex(col)
-				idx.Delete(keys[ci], rid)
-			}
+			t.moveEntries(keys, rid, nil, storage.RID{})
 			return nil
 		})
 	}
 	return rid, nil
 }
 
-// Delete removes rows matching pred; returns the count.
-func (c *Catalog) Delete(table string, pred func(storage.Tuple) bool) (int, error) {
-	t, err := c.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	type victim struct {
-		rid storage.RID
-		row storage.Tuple
-	}
-	var victims []victim
-	err = t.Heap.Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			victims = append(victims, victim{rid, tu.Clone()})
+// moveEntries repoints every index of t from old's keys at from to
+// nu's keys at to: a nil old only inserts, a nil nu only deletes, and
+// an index whose key and RID are both unchanged is left alone. The
+// caller holds t.mu (read or write).
+func (t *Table) moveEntries(old storage.Tuple, from storage.RID, nu storage.Tuple, to storage.RID) {
+	for col, idx := range t.Indexes {
+		ci, _ := t.ColIndex(col)
+		if old != nil && nu != nil && from == to && storage.Equal(old[ci], nu[ci]) {
+			continue
 		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, v := range victims {
-		if err := t.Heap.Delete(v.rid); err != nil {
-			return 0, err
+		if old != nil {
+			idx.Delete(old[ci], from)
 		}
-		for col, idx := range t.Indexes {
-			ci, _ := t.ColIndex(col)
-			idx.Delete(v.row[ci], v.rid)
+		if nu != nil {
+			idx.Insert(nu[ci], to)
 		}
 	}
-	return len(victims), nil
 }
 
-// DeleteTxn is Delete inside txn: victims are chosen from the
-// transaction's snapshot and claimed by stamping xmax — the claim IS
-// the write lock, so a concurrent claimer aborts with
-// storage.ErrWriteConflict (first-committer-wins). Index entries stay:
-// the old version must remain reachable by older snapshots, and
-// readers filter invisible versions at fetch.
-func (c *Catalog) DeleteTxn(table string, pred func(storage.Tuple) bool, txn *storage.Txn) (int, error) {
-	if txn == nil {
-		return c.Delete(table, pred)
-	}
+// RowWalk visits the rows an UPDATE or DELETE targets, each with its
+// RID; fn owns the tuple it is handed. The engine builds one from the
+// statement's planned access path (see Engine.dmlWalk).
+type RowWalk func(fn func(rid storage.RID, t storage.Tuple)) error
+
+// dmlHit is one row a DML statement will change.
+type dmlHit struct {
+	rid storage.RID
+	row storage.Tuple
+}
+
+// collectHits runs walk to completion. Every hit is collected before
+// the first row changes, so a statement never meets the versions it
+// writes itself (an UPDATE's new version can satisfy its own WHERE).
+func collectHits(walk RowWalk) ([]dmlHit, error) {
+	var hits []dmlHit
+	err := walk(func(rid storage.RID, t storage.Tuple) {
+		hits = append(hits, dmlHit{rid, t})
+	})
+	return hits, err
+}
+
+// DeleteTxn deletes the rows walk yields and returns the count. Inside
+// txn each row is claimed by stamping xmax — the claim IS the write
+// lock, so a concurrent claimer aborts with storage.ErrWriteConflict
+// (first-claimer-wins) — and its index entries stay: the old version
+// must remain reachable by older snapshots, and readers filter
+// invisible versions at fetch. With a nil txn (the legacy autocommit
+// path) rows and index entries are removed physically.
+func (c *Catalog) DeleteTxn(table string, walk RowWalk, txn *storage.Txn) (int, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return 0, err
 	}
-	type victim struct {
-		rid storage.RID
-		row storage.Tuple
-	}
-	var victims []victim
-	err = txn.View(t.Heap).Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			victims = append(victims, victim{rid, tu.Clone()})
-		}
-		return true
-	})
+	hits, err := collectHits(walk)
 	if err != nil {
 		return 0, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
-	for _, v := range victims {
-		nrid, err := txn.Delete(t.Heap, v.rid)
+	for n, h := range hits {
+		if txn == nil {
+			if err := t.Heap.Delete(h.rid); err != nil {
+				return n, err
+			}
+			t.moveEntries(h.row, h.rid, nil, storage.RID{})
+			continue
+		}
+		nrid, err := txn.Delete(t.Heap, h.rid)
 		if err != nil {
 			return n, err
 		}
-		if nrid != v.rid {
-			// Claiming a plain record upgrades it to versioned form,
-			// which can move it within its page: repoint the entries so
-			// older snapshots still reach the (still-visible) version.
-			for col, idx := range t.Indexes {
-				ci, _ := t.ColIndex(col)
-				idx.Delete(v.row[ci], v.rid)
-				idx.Insert(v.row[ci], nrid)
-			}
-		}
-		n++
-	}
-	return n, nil
-}
-
-// Update applies set to rows matching pred; returns the count.
-func (c *Catalog) Update(table string, pred func(storage.Tuple) bool,
-	set map[string]storage.Value) (int, error) {
-	t, err := c.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	setIdx := map[int]storage.Value{}
-	for col, v := range set {
-		ci, ok := t.ColIndex(col)
-		if !ok {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoColumn, table, col)
-		}
-		if !checkType(v, t.Cols[ci].Type) {
-			return 0, fmt.Errorf("%w: column %s", ErrType, col)
-		}
-		if t.Cols[ci].Type == TFloat && v.Kind == storage.KindInt {
-			v = storage.FloatValue(float64(v.Int))
-		}
-		setIdx[ci] = v
-	}
-	type hit struct {
-		rid storage.RID
-		old storage.Tuple
-	}
-	var hits []hit
-	err = t.Heap.Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			hits = append(hits, hit{rid, tu.Clone()})
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, h := range hits {
-		nu := h.old.Clone()
-		for ci, v := range setIdx {
-			nu[ci] = v
-		}
-		nrid, err := t.Heap.Update(h.rid, nu)
-		if err != nil {
-			return 0, err
-		}
-		for col, idx := range t.Indexes {
-			ci, _ := t.ColIndex(col)
-			if !storage.Equal(h.old[ci], nu[ci]) || nrid != h.rid {
-				idx.Delete(h.old[ci], h.rid)
-				idx.Insert(nu[ci], nrid)
-			}
-		}
+		// Claiming a plain record upgrades it to versioned form, which
+		// can move it within its page: repoint the entries so older
+		// snapshots still reach the (still-visible) version.
+		t.moveEntries(h.row, h.rid, h.row, nrid)
 	}
 	return len(hits), nil
 }
 
-// UpdateTxn is Update inside txn: each snapshot-visible hit has its
-// old version claimed (xmax = txn id) and a new version inserted with
-// xmin = txn id. Index entries for the new version are inserted
-// eagerly on every index and removed on rollback; the old version's
-// entries stay for older snapshots.
-func (c *Catalog) UpdateTxn(table string, pred func(storage.Tuple) bool,
-	set map[string]storage.Value, txn *storage.Txn) (int, error) {
-	if txn == nil {
-		return c.Update(table, pred, set)
-	}
+// UpdateTxn applies set to the rows walk yields and returns the count.
+// Inside txn each hit has its old version claimed (xmax = txn id) and
+// a new version inserted with xmin = txn id; the new version's index
+// entries are inserted eagerly and removed on rollback, the old
+// version's stay for older snapshots. With a nil txn (the legacy
+// autocommit path) each row is rewritten in place or moved, and its
+// entries follow it.
+func (c *Catalog) UpdateTxn(table string, walk RowWalk, set map[string]storage.Value, txn *storage.Txn) (int, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return 0, err
@@ -479,58 +417,48 @@ func (c *Catalog) UpdateTxn(table string, pred func(storage.Tuple) bool,
 		}
 		setIdx[ci] = v
 	}
-	type hit struct {
-		rid storage.RID
-		old storage.Tuple
-	}
-	var hits []hit
-	err = txn.View(t.Heap).Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			hits = append(hits, hit{rid, tu.Clone()})
-		}
-		return true
-	})
+	hits, err := collectHits(walk)
 	if err != nil {
 		return 0, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
-	for _, h := range hits {
-		nu := h.old.Clone()
+	for n, h := range hits {
+		nu := h.row.Clone()
 		for ci, v := range setIdx {
 			nu[ci] = v
+		}
+		if txn == nil {
+			var nrid storage.RID
+			if c.db != nil {
+				nrid, err = t.Heap.UpdateVersion(h.rid, nu, storage.Version{})
+			} else {
+				nrid, err = t.Heap.Update(h.rid, nu)
+			}
+			if err != nil {
+				return n, err
+			}
+			t.moveEntries(h.row, h.rid, nu, nrid)
+			continue
 		}
 		orid, nrid, err := txn.Update(t.Heap, h.rid, nu)
 		if err != nil {
 			return n, err
 		}
-		for col, idx := range t.Indexes {
-			ci, _ := t.ColIndex(col)
-			if orid != h.rid {
-				// The claim moved the old version (plain→versioned
-				// upgrade): repoint its entries.
-				idx.Delete(h.old[ci], h.rid)
-				idx.Insert(h.old[ci], orid)
-			}
-			idx.Insert(nu[ci], nrid)
-		}
+		// The claim may have moved the old version (plain→versioned
+		// upgrade): repoint its entries.
+		t.moveEntries(h.row, h.rid, h.row, orid)
+		t.moveEntries(nil, storage.RID{}, nu, nrid)
 		if len(t.Indexes) > 0 {
-			keys := nu.Clone()
-			newRID := nrid
 			txn.OnRollback(func() error {
 				t.mu.RLock()
 				defer t.mu.RUnlock()
-				for col, idx := range t.Indexes {
-					ci, _ := t.ColIndex(col)
-					idx.Delete(keys[ci], newRID)
-				}
+				t.moveEntries(nu, nrid, nil, storage.RID{})
 				return nil
 			})
 		}
-		n++
 	}
-	return n, nil
+	return len(hits), nil
 }
 
 // Analyze refreshes a table's statistics from its actual contents.

@@ -96,21 +96,21 @@ func (e *Engine) ExecStmtTxn(st Stmt, txn *storage.Txn) (*Result, error) {
 		}
 		return &Result{Affected: len(s.Rows)}, nil
 	case *UpdateStmt:
-		pred, err := e.wherePred(s.Table, s.Where)
+		walk, err := e.dmlWalk(s.Table, s.Where, txn)
 		if err != nil {
 			return nil, err
 		}
-		n, err := e.cat.UpdateTxn(s.Table, pred, s.Set, txn)
+		n, err := e.cat.UpdateTxn(s.Table, walk, s.Set, txn)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Affected: n}, nil
 	case *DeleteStmt:
-		pred, err := e.wherePred(s.Table, s.Where)
+		walk, err := e.dmlWalk(s.Table, s.Where, txn)
 		if err != nil {
 			return nil, err
 		}
-		n, err := e.cat.DeleteTxn(s.Table, pred, txn)
+		n, err := e.cat.DeleteTxn(s.Table, walk, txn)
 		if err != nil {
 			return nil, err
 		}
@@ -182,16 +182,16 @@ func stmtKeyword(st Stmt) string {
 	return fmt.Sprintf("%T", st)
 }
 
-// wherePred compiles a single-table WHERE clause.
-func (e *Engine) wherePred(table string, preds []Pred) (func(storage.Tuple) bool, error) {
-	if len(preds) == 0 {
-		return nil, nil
-	}
-	t, err := e.cat.Table(table)
+// dmlWalk plans an UPDATE's or DELETE's WHERE as a single-table
+// SELECT, so a write finds its rows through the access path a read of
+// the same rows would take (see scanPlan.walk). Inside txn the walk
+// reads the transaction's snapshot; with a nil txn, the raw heap.
+func (e *Engine) dmlWalk(table string, where []Pred, txn *storage.Txn) (RowWalk, error) {
+	plan, err := e.planSelect(&SelectStmt{From: TableRef{Name: table}, Where: where, Limit: -1}, txn)
 	if err != nil {
 		return nil, err
 	}
-	return compilePreds(tableSchema(table, t), preds)
+	return plan.scans[0].walk, nil
 }
 
 // execSelect plans, compiles and runs a SELECT.

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -134,6 +135,68 @@ func (s *scanPlan) build() (operators.Iterator, error) {
 		it = operators.NewFilter(it, pred)
 	}
 	return it, nil
+}
+
+// walk is the scan's RID-yielding row finder, the access path of
+// UPDATE and DELETE. It calls fn for every row of s.reader that
+// satisfies the scan's full conjunction: an index probe narrows the
+// candidates to the planned key range, otherwise a page walk skips the
+// pages the zone maps veto. Every candidate is re-checked against the
+// whole WHERE, so the path only decides how many rows are looked at,
+// never which rows qualify. Rows are fetched through s.reader, so a
+// snapshot view skips invisible versions exactly as IndexScan does.
+func (s *scanPlan) walk(fn func(rid storage.RID, t storage.Tuple)) error {
+	pred, err := compilePreds(s.sch, s.preds)
+	if err != nil {
+		return err
+	}
+	if s.indexCol != "" {
+		idx, _ := s.table.Index(s.indexCol)
+		var rids []storage.RID
+		idx.Range(s.indexLo, s.indexHi, func(_ storage.Value, rid storage.RID) bool {
+			rids = append(rids, rid)
+			return true
+		})
+		for _, rid := range rids {
+			t, err := s.reader.Get(rid)
+			if errors.Is(err, storage.ErrNotFound) {
+				continue // invisible to this reader, or gone since the probe
+			}
+			if err != nil {
+				return err
+			}
+			if pred(t) {
+				fn(rid, t)
+			}
+		}
+		return nil
+	}
+	var kern *operators.FilterKernel
+	if len(s.preds) > 0 {
+		if kern, err = s.filterKernel(); err != nil {
+			return err
+		}
+	}
+	pages := s.reader.PageIDs()
+	var zones [][]storage.ColZone
+	if zr, ok := s.reader.(storage.ZoneReader); ok && kern != nil {
+		zones = zr.PageZones(pages)
+	}
+	for i, id := range pages {
+		if zones != nil && !kern.MayMatchPage(zones[i]) {
+			continue
+		}
+		_, err := s.reader.ScanPage(id, func(rid storage.RID, t storage.Tuple) bool {
+			if pred(t) {
+				fn(rid, t)
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // filterKernel lazily compiles the scan's pushed-down conjunction into

@@ -36,13 +36,22 @@ type DiskFile interface {
 var ErrShortWrite = errors.New("storage: short write")
 
 // MemDisk is an in-memory DiskFile: the simulated stable storage the
-// crash tests snapshot and reopen. Sync is a no-op (memory is always
-// "durable" until the harness says otherwise); the fault layer is
-// where sync barriers gain meaning.
+// crash tests snapshot and reopen, and the store admsqld serves over.
+// Sync is a no-op (memory is always "durable" until the harness says
+// otherwise); the fault layer is where sync barriers gain meaning.
+//
+// The bytes live in fixed-size chunks, so a write costs O(len(p)) no
+// matter how long the file already is — an append never copies the
+// image it extends — and the allocated capacity beyond the file's
+// length stays under one chunk.
 type MemDisk struct {
-	mu  sync.Mutex
-	buf []byte
+	mu     sync.Mutex
+	chunks [][]byte // each memChunk bytes; byte i is chunks[i/memChunk][i%memChunk]
+	size   int64
 }
+
+// memChunk is MemDisk's allocation unit.
+const memChunk = 16 << 10
 
 // NewMemDisk returns an empty in-memory disk.
 func NewMemDisk() *MemDisk { return &MemDisk{} }
@@ -50,7 +59,9 @@ func NewMemDisk() *MemDisk { return &MemDisk{} }
 // NewMemDiskFrom returns a disk initialised with a copy of data (how
 // crash tests reopen a snapshot).
 func NewMemDiskFrom(data []byte) *MemDisk {
-	return &MemDisk{buf: append([]byte(nil), data...)}
+	d := &MemDisk{}
+	d.writeLocked(data, 0)
+	return d
 }
 
 // ReadAt implements DiskFile.
@@ -60,11 +71,23 @@ func (d *MemDisk) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("storage: negative read offset %d", off)
 	}
-	if off >= int64(len(d.buf)) {
-		return 0, nil
+	return d.readLocked(p, off), nil
+}
+
+// readLocked copies the file's bytes from off into p, stopping at the
+// end of the file; it returns the count copied.
+func (d *MemDisk) readLocked(p []byte, off int64) int {
+	n := 0
+	for n < len(p) && off < d.size {
+		c := d.chunks[off/memChunk][off%memChunk:]
+		if rest := d.size - off; int64(len(c)) > rest {
+			c = c[:rest]
+		}
+		k := copy(p[n:], c)
+		n += k
+		off += int64(k)
 	}
-	n := copy(p, d.buf[off:])
-	return n, nil
+	return n
 }
 
 // WriteAt implements DiskFile.
@@ -74,13 +97,31 @@ func (d *MemDisk) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("storage: negative write offset %d", off)
 	}
-	if need := off + int64(len(p)); need > int64(len(d.buf)) {
-		grown := make([]byte, need)
-		copy(grown, d.buf)
-		d.buf = grown
-	}
-	copy(d.buf[off:], p)
+	d.writeLocked(p, off)
 	return len(p), nil
+}
+
+// writeLocked copies p to off, growing the file as needed.
+func (d *MemDisk) writeLocked(p []byte, off int64) {
+	d.growLocked(off + int64(len(p)))
+	for len(p) > 0 {
+		k := copy(d.chunks[off/memChunk][off%memChunk:], p)
+		p = p[k:]
+		off += int64(k)
+	}
+}
+
+// growLocked extends the file to at least size bytes; new bytes read
+// as zeros (fresh chunks are zeroed, and Truncate zeroes the tail it
+// cuts from a kept chunk).
+func (d *MemDisk) growLocked(size int64) {
+	if size <= d.size {
+		return
+	}
+	for int64(len(d.chunks))*memChunk < size {
+		d.chunks = append(d.chunks, make([]byte, memChunk))
+	}
+	d.size = size
 }
 
 // Sync implements DiskFile (no-op: memory).
@@ -90,7 +131,7 @@ func (d *MemDisk) Sync() error { return nil }
 func (d *MemDisk) Size() (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.buf)), nil
+	return d.size, nil
 }
 
 // Truncate implements DiskFile.
@@ -100,13 +141,19 @@ func (d *MemDisk) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("storage: negative truncate %d", size)
 	}
-	if size <= int64(len(d.buf)) {
-		d.buf = d.buf[:size]
+	if size >= d.size {
+		d.growLocked(size)
 		return nil
 	}
-	grown := make([]byte, size)
-	copy(grown, d.buf)
-	d.buf = grown
+	keep := (size + memChunk - 1) / memChunk
+	for i := keep; i < int64(len(d.chunks)); i++ {
+		d.chunks[i] = nil
+	}
+	d.chunks = d.chunks[:keep]
+	if r := size % memChunk; r != 0 {
+		clear(d.chunks[keep-1][r:])
+	}
+	d.size = size
 	return nil
 }
 
@@ -115,5 +162,7 @@ func (d *MemDisk) Truncate(size int64) error {
 func (d *MemDisk) Bytes() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]byte(nil), d.buf...)
+	out := make([]byte, d.size)
+	d.readLocked(out, 0)
+	return out
 }

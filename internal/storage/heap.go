@@ -277,7 +277,15 @@ func (h *HeapFile) Delete(rid RID) error {
 // page cannot hold it, is deleted and re-inserted elsewhere. The
 // record's current RID is returned.
 func (h *HeapFile) Update(rid RID, t Tuple) (RID, error) {
-	rec := EncodeTuple(t)
+	return h.updateRec(rid, EncodeTuple(t))
+}
+
+// UpdateVersion is Update writing the tuple with an MVCC header.
+func (h *HeapFile) UpdateVersion(rid RID, t Tuple, v Version) (RID, error) {
+	return h.updateRec(rid, EncodeVersionedTuple(t, v))
+}
+
+func (h *HeapFile) updateRec(rid RID, rec []byte) (RID, error) {
 	p, err := h.bm.GetPage(rid.Page)
 	if err != nil {
 		return RID{}, err
@@ -306,7 +314,7 @@ func (h *HeapFile) Update(rid RID, t Tuple) (RID, error) {
 	if err := h.Delete(rid); err != nil {
 		return RID{}, err
 	}
-	return h.Insert(t)
+	return h.insertRec(rec)
 }
 
 // PageIDs returns a snapshot of the file's page list. The snapshot is
@@ -355,23 +363,11 @@ func (h *HeapFile) PageTuplesVisibleInto(id PageID, dst []Tuple, vis Visibility)
 	return p.TuplesVisibleInto(dst, vis)
 }
 
-// ScanVersions calls fn for every live record in file order with its
-// MVCC version (zero for plain records); returning false stops the
-// scan. The transaction layer's DML scans run through here so the
-// victim set is computed against the statement's snapshot.
-func (h *HeapFile) ScanVersions(fn func(rid RID, t Tuple, v Version) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for _, id := range pages {
-		stop, err := h.scanPageVersions(id, fn)
-		if err != nil || stop {
-			return err
-		}
-	}
-	return nil
-}
-
+// scanPageVersions visits one page's live records with their MVCC
+// versions (zero for plain records), the page cursor under ScanPage
+// and HeapView. The pin is released by defer: fn is caller code, and
+// a panic there (contained at the morsel boundary by the parallel
+// executor) must not leak the pin.
 func (h *HeapFile) scanPageVersions(id PageID, fn func(rid RID, t Tuple, v Version) bool) (stop bool, err error) {
 	p, err := h.bm.GetPage(id)
 	if err != nil {
@@ -428,7 +424,7 @@ func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
 
 func (h *HeapFile) scanPages(pages []PageID, fn func(rid RID, t Tuple) bool) error {
 	for _, id := range pages {
-		stop, err := h.scanPage(id, fn)
+		stop, err := h.ScanPage(id, fn)
 		if err != nil || stop {
 			return err
 		}
@@ -436,35 +432,10 @@ func (h *HeapFile) scanPages(pages []PageID, fn func(rid RID, t Tuple) bool) err
 	return nil
 }
 
-// scanPage visits one page's live records with the pin released by
-// defer: fn is caller code, and a panic there (contained at the
-// morsel boundary by the parallel executor) must not leak the pin.
-func (h *HeapFile) scanPage(id PageID, fn func(rid RID, t Tuple) bool) (stop bool, err error) {
-	p, err := h.bm.GetPage(id)
-	if err != nil {
-		return false, err
-	}
-	defer h.bm.Unpin(id)
-	for s := 0; s < p.Slots(); s++ {
-		if !p.Live(s) {
-			continue
-		}
-		rec, err := p.Get(s)
-		if errors.Is(err, ErrSlotDeleted) {
-			continue // deleted between Live and Get by a concurrent writer
-		}
-		if err != nil {
-			return false, err
-		}
-		t, err := DecodeTuple(rec)
-		if err != nil {
-			return false, err
-		}
-		if !fn(RID{Page: id, Slot: s}, t) {
-			return true, nil
-		}
-	}
-	return false, nil
+// ScanPage calls fn for every live record on one page with its RID;
+// returning false stops the visit and reports stop.
+func (h *HeapFile) ScanPage(id PageID, fn func(rid RID, t Tuple) bool) (stop bool, err error) {
+	return h.scanPageVersions(id, func(rid RID, t Tuple, _ Version) bool { return fn(rid, t) })
 }
 
 // All collects every live tuple (test/bench convenience).

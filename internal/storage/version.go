@@ -1,6 +1,6 @@
 // Versioned records: the MVCC record format layered over the plain
 // tuple encoding. A stored record is either a plain EncodeTuple image
-// (pre-MVCC, and everything the legacy autocommit path writes) or a
+// (pre-MVCC, and what the legacy path writes to a volatile heap) or a
 // versioned image: a u16 marker that cannot collide with a field
 // count, then the creating and deleting transaction ids, then the
 // plain encoding. Version detection is per record, so plain and

@@ -15,6 +15,7 @@ type HeapReader interface {
 	PageTuples(id PageID) ([]Tuple, error)
 	PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error)
 	Get(rid RID) (Tuple, error)
+	ScanPage(id PageID, fn func(rid RID, t Tuple) bool) (stop bool, err error)
 	All() ([]Tuple, error)
 }
 
@@ -64,14 +65,26 @@ func (v *HeapView) Get(rid RID) (Tuple, error) {
 	return t, nil
 }
 
-// Scan calls fn for every visible record in file order.
-func (v *HeapView) Scan(fn func(rid RID, t Tuple) bool) error {
-	return v.h.ScanVersions(func(rid RID, t Tuple, ver Version) bool {
+// ScanPage calls fn for every visible record on one page with its
+// RID; returning false stops the visit and reports stop.
+func (v *HeapView) ScanPage(id PageID, fn func(rid RID, t Tuple) bool) (stop bool, err error) {
+	return v.h.scanPageVersions(id, func(rid RID, t Tuple, ver Version) bool {
 		if v.vis != nil && !v.vis(ver) {
 			return true
 		}
 		return fn(rid, t)
 	})
+}
+
+// Scan calls fn for every visible record in file order.
+func (v *HeapView) Scan(fn func(rid RID, t Tuple) bool) error {
+	for _, id := range v.h.PageIDs() {
+		stop, err := v.ScanPage(id, fn)
+		if err != nil || stop {
+			return err
+		}
+	}
+	return nil
 }
 
 // All collects every visible tuple.
